@@ -1,0 +1,5 @@
+"""Repository benchmark: cold scan, reload rescan and open-loop serving.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
