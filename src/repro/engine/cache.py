@@ -8,7 +8,11 @@ design's source text, inside a store that is itself namespaced by the
   simply never looked up again (invalidation by construction);
 * retraining the detector changes the fingerprint, which switches to a
   fresh namespace directory, so verdicts can never leak across model
-  versions.
+  versions;
+* a non-default compute backend (which may round a borderline p-value
+  differently) gets a namespace of its own, derived from the fingerprint
+  and the backend name by :func:`cache_namespace`, so one backend's
+  records are never served to another.
 
 On disk the store is **sharded**: records live in per-shard JSON files
 under ``<dir>/<fp16>/shards/``, keyed by a prefix of their content hash
@@ -33,6 +37,7 @@ transparently and migrated into shard files on the first flush.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -55,6 +60,7 @@ from ..faults import (
     corrupting_failpoint,
     failpoint,
 )
+from ..nn.backend import DEFAULT_BACKEND
 from ..obs.metrics import REGISTRY
 
 logger = logging.getLogger(__name__)
@@ -236,6 +242,19 @@ class _NamespaceLock:
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
+
+
+def cache_namespace(fingerprint: str, backend: str = DEFAULT_BACKEND) -> str:
+    """The result-tier namespace for a model scanned on a compute backend.
+
+    The default backend keeps the bare model fingerprint, so existing
+    caches stay valid.  Any other backend's namespace hashes the backend
+    name in.  A backend's derived state (the int8 quantized weights) is a
+    deterministic function of the artifact, so the pair is a complete key.
+    """
+    if backend == DEFAULT_BACKEND:
+        return fingerprint
+    return hashlib.sha256(f"{fingerprint}\0{backend}".encode("utf-8")).hexdigest()
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:

@@ -62,6 +62,13 @@ from ..obs.drift import (
     DEFAULT_WINDOW,
 )
 from ..obs.tracing import Tracer, trace_span
+from ..serve.batching import DEFAULT_BATCH_WINDOW_S, DEFAULT_MAX_BATCH
+from ..serve.rollout import (
+    DEFAULT_MIN_SHADOW_DESIGNS,
+    DEFAULT_PROMOTE_THRESHOLD,
+    DEFAULT_SHADOW_SAMPLE,
+)
+from ..serve.server import DEFAULT_FLUSH_EVERY, DEFAULT_HOST, DEFAULT_PORT, ScanService
 from ..trojan import SuiteConfig, TrojanDataset
 from .artifacts import ArtifactError, load_detector, save_detector
 from .bench import DEFAULT_N_DESIGNS, build_scan_batch, run_engine_benchmark
@@ -478,8 +485,6 @@ def _parse_serve_artifacts(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..serve.server import ScanService
-
     if not _check_backend(args.backend):
         return EXIT_USAGE
     if not _apply_failpoints(args):
@@ -528,7 +533,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             promote_threshold=args.promote_threshold,
             min_shadow_designs=args.min_shadow,
             shadow_sample=args.shadow_sample,
-            frontend=args.frontend,
             host=args.host,
             port=args.port,
             batch_window_s=args.batch_window_ms / 1000.0,
@@ -572,7 +576,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {len(artifacts)} model(s) on "
             f"http://{service.host}:{service.port} "
-            f"({args.frontend} frontend, repro {__version__})"
+            f"(repro {__version__})"
         )
         for name in service.models:
             entry = service.registry.get(artifacts[name])
@@ -862,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--promote-threshold",
         type=float,
-        default=0.98,
+        default=DEFAULT_PROMOTE_THRESHOLD,
         metavar="RATE",
         help="triage-agreement rate the challenger must clear for "
         "auto-promotion (fraction in [0, 1])",
@@ -870,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--min-shadow",
         type=int,
-        default=32,
+        default=DEFAULT_MIN_SHADOW_DESIGNS,
         metavar="N",
         help="shadow-scanned designs required before the promote/reject "
         "decision is made",
@@ -878,27 +882,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shadow-sample",
         type=float,
-        default=1.0,
+        default=DEFAULT_SHADOW_SAMPLE,
         metavar="RATE",
         help="fraction of champion traffic the challenger shadow-scans",
     )
     serve.add_argument(
-        "--frontend",
-        choices=("eventloop", "threaded"),
-        default="eventloop",
-        help="HTTP front-end: the selectors event loop (default) or the "
-        "stdlib thread-per-connection server",
+        "--host", default=DEFAULT_HOST, help="bind host (default: loopback only)"
     )
     serve.add_argument(
-        "--host", default="127.0.0.1", help="bind host (default: loopback only)"
-    )
-    serve.add_argument(
-        "--port", type=int, default=8731, help="bind port (0 picks a free port)"
+        "--port", type=int, default=DEFAULT_PORT, help="bind port (0 picks a free port)"
     )
     serve.add_argument(
         "--batch-window-ms",
         type=float,
-        default=25.0,
+        default=DEFAULT_BATCH_WINDOW_S * 1000.0,
         metavar="MS",
         help="micro-batch window: how long to hold a batch open for "
         "stragglers after the first request arrives",
@@ -906,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch",
         type=int,
-        default=64,
+        default=DEFAULT_MAX_BATCH,
         metavar="N",
         help="designs per micro-batch (the forward-pass batch-size cap)",
     )
@@ -927,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--flush-every",
         type=int,
-        default=128,
+        default=DEFAULT_FLUSH_EVERY,
         metavar="N",
         help="flush the result cache once N fresh designs accumulated "
         "(always off the response path; always flushed on shutdown)",

@@ -38,7 +38,7 @@ from ..features.pipeline import MultimodalFeatures, extract_design_modalities
 from ..nn.backend import DEFAULT_BACKEND, PROFILER, get_backend
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Tracer, trace_span
-from .cache import CacheLockTimeout, ScanCache
+from .cache import CacheLockTimeout, ScanCache, cache_namespace
 from .feature_store import FeatureStore
 
 logger = logging.getLogger(__name__)
@@ -553,7 +553,11 @@ class ScanEngine:
             if backend == "int8"
             else None
         )
-        cache = ScanCache(cache_dir, fingerprint) if cache_dir is not None else None
+        cache = (
+            ScanCache(cache_dir, cache_namespace(fingerprint, backend))
+            if cache_dir is not None
+            else None
+        )
         store = (
             FeatureStore(feature_store_dir, image_size=image_size)
             if feature_store_dir is not None

@@ -48,7 +48,7 @@ from ..faults import SHARD_DEADLINE_S, SHARD_RETRY_POLICY, failpoint
 from ..features.image import DEFAULT_IMAGE_SIZE
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Tracer, trace_span
-from .cache import CacheLockTimeout, ScanCache, atomic_write_json
+from .cache import CacheLockTimeout, ScanCache, atomic_write_json, cache_namespace
 from .feature_store import FeatureStore
 from .scan import (
     ScanEngine,
@@ -441,7 +441,11 @@ class ScanScheduler:
 
             model, _ = load_detector(artifact_path)
             prepare_quantized_state(model, artifact_path, fingerprint)
-        cache = ScanCache(cache_dir, fingerprint) if cache_dir is not None else None
+        cache = (
+            ScanCache(cache_dir, cache_namespace(fingerprint, backend))
+            if cache_dir is not None
+            else None
+        )
         return cls(
             artifact_path=artifact_path,
             fingerprint=fingerprint,

@@ -4,17 +4,19 @@ Per-request inference is wasteful: a batch-1 CNN forward pass is almost
 all fixed overhead (layer setup, im2col, the conformal ``searchsorted``
 calls), and with the result cache attached every request also pays a
 lock + read-merge-write cache flush.  :class:`MicroBatcher` amortises
-both: handler threads enqueue their designs and block, a single worker
-thread collects everything that arrives within ``batch_window_s`` (up to
-``max_batch`` designs), runs **one** :meth:`ScanEngine.scan_sources` call
-for the whole batch — one vectorized forward pass, one ``searchsorted``
-p-value call, one cache flush — and hands each request back exactly its
-own slice of the records.
+both: callers enqueue their designs (``submit_nowait`` with a completion
+callback, as the event-loop front-end does, or the blocking ``submit``),
+a single worker thread collects everything that arrives within
+``batch_window_s`` (up to ``max_batch`` designs), runs **one**
+:meth:`ScanEngine.scan_sources` call for the whole batch — one
+vectorized forward pass, one ``searchsorted`` p-value call, one cache
+flush — and hands each request back exactly its own slice of the
+records.
 
 Because every scan funnels through the one worker thread, the engine and
 its cache tiers are only ever touched single-threaded — the batcher is
-also the concurrency guard that makes a process-wide :class:`ScanEngine`
-safe under a threaded HTTP server.
+also the concurrency guard that lets many concurrent requests share one
+process-wide :class:`ScanEngine`.
 
 Batch assembly is copy-lean end to end: the engine preallocates each
 micro-batch's feature matrices once and fills slices in place (feature
@@ -248,7 +250,7 @@ class MicroBatcher:
     ) -> BatchResult:
         """Enqueue designs and block until their batch has been scanned.
 
-        Called from any number of handler threads.  Raises
+        Callable from any number of threads.  Raises
         :class:`BatcherClosed` when the batcher is draining/closed,
         :class:`BatcherOverloaded` when the queue is at its admission
         bound, :class:`DeadlineExceeded` when ``deadline`` expired before

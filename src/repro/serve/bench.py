@@ -64,7 +64,7 @@ from ..trojan import SuiteConfig, TrojanDataset
 from ..engine.artifacts import save_detector
 from ..engine.training import recalibrate_detector, train_detector
 from .client import ScanServiceClient
-from .server import ScanService
+from .server import FRONTEND, ScanService
 
 #: Default number of scan requests per timed run.  Long enough that the
 #: per-run fixed costs (client threads starting, sockets connecting, the
@@ -348,7 +348,7 @@ class _ServingMode:
             "max_batch": max_batch,
             "workers": workers,
             "backend": backend,
-            "frontend": self.service.frontend,
+            "frontend": FRONTEND,
             "cpu_count": multiprocessing.cpu_count() or 1,
         }
         if self.route_models:
@@ -582,7 +582,7 @@ def run_serve_benchmark(
             results = {mode.name: suite.add(mode.finish(repeats)) for mode in modes}
         finally:
             # A failed round must still stop every service: their serving
-            # and handler threads are non-daemonic, and leaking them would
+            # and batch threads are non-daemonic, and leaking them would
             # hang the process instead of exiting with the error.
             for mode in modes:
                 mode.service.shutdown()  # idempotent

@@ -28,6 +28,14 @@ from ..obs.metrics import REGISTRY
 #: How many recent request latencies the percentile window keeps.
 DEFAULT_LATENCY_WINDOW = 2048
 
+#: The routes the service serves; each is counted under its own label.
+KNOWN_ROUTES = frozenset({"/scan", "/healthz", "/metrics", "/reload", "/promote"})
+
+#: The one label every other request path is counted under.  The path is
+#: client input, so a label per path would let clients grow the counters
+#: (and the Prometheus exposition) without bound.
+OTHER_ROUTE = "other"
+
 # Prometheus families mirrored by ServiceMetrics (registered once, at
 # import time — lint rule R7 enforces the single registration site).
 _REQUESTS = REGISTRY.counter(
@@ -151,8 +159,8 @@ class LatencyWindow:
 class ServiceMetrics:
     """Counters, batch-size stats and latency percentiles for one service.
 
-    Every mutator takes the internal lock, so handler threads and the
-    batch worker can update concurrently; :meth:`snapshot` returns a plain
+    Every mutator takes the internal lock, so the event-loop thread and
+    the batch workers can update concurrently; :meth:`snapshot` returns a plain
     ``dict`` ready for JSON serialisation.
     """
 
@@ -183,7 +191,13 @@ class ServiceMetrics:
 
     # -- recording -----------------------------------------------------------
     def observe_request(self, route: str, error: bool = False) -> None:
-        """Count one HTTP request against its route (and errors separately)."""
+        """Count one HTTP request against its route (and errors separately).
+
+        Paths outside :data:`KNOWN_ROUTES` are counted as
+        :data:`OTHER_ROUTE`.
+        """
+        if route not in KNOWN_ROUTES:
+            route = OTHER_ROUTE
         with self._lock:
             self.requests_total += 1
             self.requests_by_route[route] = self.requests_by_route.get(route, 0) + 1

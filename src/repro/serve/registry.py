@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..faults import RELOAD_PROBE_TTL_S
 from ..features.image import DEFAULT_IMAGE_SIZE
 from ..engine.artifacts import MANIFEST_NAME, load_detector, prepare_quantized_state
-from ..engine.cache import ScanCache
+from ..engine.cache import ScanCache, cache_namespace
 from ..engine.feature_store import FeatureStore, default_feature_store_dir
 from ..engine.scan import ScanEngine
 from ..nn.backend import DEFAULT_BACKEND, get_backend
@@ -194,7 +194,7 @@ class ModelRegistry:
         cache = (
             ScanCache(
                 self.cache_dir,
-                fingerprint,
+                cache_namespace(fingerprint, self.backend),
                 shard_prefix_len=self.cache_shard_prefix_len,
             )
             if self.cache_dir is not None

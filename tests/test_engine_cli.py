@@ -720,3 +720,34 @@ class TestServeCliParsing:
             ]
         )
         assert code == 2
+
+    def test_serve_defaults_match_scan_service_defaults(self):
+        """A bare ``serve --artifact X`` configures ScanService's own defaults."""
+        import inspect
+
+        from repro.engine.cli import build_parser
+        from repro.serve.server import ScanService
+
+        args = build_parser().parse_args(["serve", "--artifact", "X"])
+        params = inspect.signature(ScanService.__init__).parameters
+        service_defaults = {name: param.default for name, param in params.items()}
+        cli_values = {
+            "host": args.host,
+            "port": args.port,
+            "batch_window_s": args.batch_window_ms / 1000.0,
+            "max_batch": args.max_batch,
+            "promote_threshold": args.promote_threshold,
+            "min_shadow_designs": args.min_shadow,
+            "shadow_sample": args.shadow_sample,
+            "flush_every": args.flush_every,
+            "workers": args.workers,
+            "max_queue_depth": args.max_queue_depth,
+            "backend": args.backend,
+            "allow_paths": not args.no_paths,
+            "drift_window": args.drift_window,
+            "drift_min_observations": args.drift_min_observations,
+            "drift_trip_margin": args.drift_trip_margin,
+            "drift_clear_margin": args.drift_clear_margin,
+        }
+        for name, value in cli_values.items():
+            assert value == service_defaults[name], name

@@ -296,3 +296,88 @@ class TestComputeBackends:
         with pytest.raises(ValueError, match="unknown compute backend"):
             ScanEngine(detector, backend="nope")
         assert detector  # construction failed fast; model untouched
+
+
+def _strip_cached(records):
+    """Record dicts without the ``cached`` flag (fresh vs cached compare)."""
+    return [{k: v for k, v in r.to_dict().items() if k != "cached"} for r in records]
+
+
+class TestBackendKeyedResultCache:
+    """A backend's scan never reads another backend's cached records.
+
+    History invariance: scanning with numpy first, then int8, on one cache
+    directory gives the int8 scan exactly what an uncached int8 scan gives.
+    """
+
+    @pytest.fixture(scope="class")
+    def artifact(self, detector, tmp_path_factory):
+        path = tmp_path_factory.mktemp("backend-cache") / "artifact"
+        save_detector(detector, path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def int8_uncached(self, artifact, scan_batch):
+        return ScanEngine.from_artifact(artifact, backend="int8").scan_sources(
+            scan_batch
+        )
+
+    def test_engine_int8_after_numpy_is_not_served_numpy_records(
+        self, artifact, scan_batch, int8_uncached, tmp_path
+    ):
+        numpy_report = ScanEngine.from_artifact(
+            artifact, cache_dir=tmp_path
+        ).scan_sources(scan_batch)
+        assert numpy_report.n_cache_hits == 0
+        int8_report = ScanEngine.from_artifact(
+            artifact, cache_dir=tmp_path, backend="int8"
+        ).scan_sources(scan_batch)
+        assert int8_report.n_cache_hits == 0
+        assert _strip_cached(int8_report.records) == _strip_cached(
+            int8_uncached.records
+        )
+        # Each backend still hits its own namespace on a rescan.
+        rescan = ScanEngine.from_artifact(
+            artifact, cache_dir=tmp_path, backend="int8"
+        ).scan_sources(scan_batch)
+        assert rescan.n_cache_hits == len(scan_batch)
+
+    def test_default_backend_namespace_is_the_fingerprint(self, artifact, tmp_path):
+        from repro.engine.cache import cache_namespace
+
+        engine = ScanEngine.from_artifact(artifact, cache_dir=tmp_path)
+        assert engine.cache.fingerprint == engine.fingerprint
+        assert cache_namespace(engine.fingerprint) == engine.fingerprint
+        assert cache_namespace(engine.fingerprint, "int8") != engine.fingerprint
+        assert cache_namespace(engine.fingerprint, "int8") != cache_namespace(
+            engine.fingerprint, "fused_f32"
+        )
+
+    def test_scheduler_int8_after_numpy(
+        self, artifact, scan_batch, int8_uncached, tmp_path
+    ):
+        from repro.engine.scheduler import ScanScheduler
+
+        with ScanScheduler.from_artifact(artifact, cache_dir=tmp_path, jobs=1) as s:
+            s.scan_sources(scan_batch)
+        with ScanScheduler.from_artifact(
+            artifact, cache_dir=tmp_path, jobs=1, backend="int8"
+        ) as s:
+            report = s.scan_sources(scan_batch)
+        assert report.n_cache_hits == 0
+        assert _strip_cached(report.records) == _strip_cached(int8_uncached.records)
+
+    def test_registry_int8_after_numpy(
+        self, artifact, scan_batch, int8_uncached, tmp_path
+    ):
+        from repro.serve.registry import ModelRegistry
+
+        for backend in ("numpy", "int8"):
+            registry = ModelRegistry(
+                cache_dir=tmp_path, feature_cache=False, backend=backend
+            )
+            engine = registry.get(artifact).engine
+            report = engine.scan_sources(scan_batch)
+            registry.flush_caches()
+        assert report.n_cache_hits == 0
+        assert _strip_cached(report.records) == _strip_cached(int8_uncached.records)

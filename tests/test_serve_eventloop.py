@@ -296,6 +296,10 @@ class TestMidBatchDrain:
         svc = ScanService(
             artifact, port=0, batch_window_s=1.0, max_batch=64
         ).start()
+        # Hold the window open for its full second: with the adaptive
+        # 2 ms early close, a gap between two of the connections below
+        # closes the batch before all of them are inside it.
+        svc.batcher.quiescence_s = svc.batcher.batch_window_s
         with ScanServiceClient(svc.host, svc.port) as probe:
             probe.wait_until_ready()
         n_requests = 8
@@ -321,12 +325,14 @@ class TestMidBatchDrain:
         # Wait until every request is inside the batcher's open window,
         # then yank the service out from under them.
         deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if svc.batcher.in_flight_requests >= n_requests:
-                break
-            time.sleep(0.01)
-        assert svc.batcher.in_flight_requests >= n_requests
-        svc.shutdown()
+        try:
+            while time.monotonic() < deadline:
+                if svc.batcher.in_flight_requests >= n_requests:
+                    break
+                time.sleep(0.01)
+            assert svc.batcher.in_flight_requests >= n_requests
+        finally:
+            svc.shutdown()  # a failed wait must not leak the serving threads
         for thread in threads:
             thread.join(timeout=60.0)
         assert not any(thread.is_alive() for thread in threads)

@@ -79,6 +79,33 @@ class TestOperationalEndpoints:
             client._request("GET", "/nope")
         assert excinfo.value.status == 404
 
+    def test_unknown_paths_share_one_route_label(self, client):
+        """Client-chosen paths must not mint route labels without bound."""
+        from repro.obs.metrics import parse_prometheus_text
+
+        paths = [f"/unknown-route-{i}" for i in range(50)]
+        for path in paths:
+            with pytest.raises(ScanServiceError) as excinfo:
+                client._request("GET", path)
+            assert excinfo.value.status == 404
+        by_route = client.metrics()["requests_by_route"]
+        known = {"/scan", "/healthz", "/metrics", "/reload", "/promote"}
+        assert set(by_route) <= known | {"other"}
+        assert by_route["other"] == 50
+        text = client.metrics_prometheus()
+        route_labels = {
+            dict(labels).get("route")
+            for name, labels in parse_prometheus_text(text)
+            if name == "repro_serve_requests_total"
+        }
+        assert "other" in route_labels
+        assert not route_labels & set(paths)
+        assert not any(path in text for path in paths)
+
+    def test_frontend_is_the_event_loop(self, client):
+        assert client.healthz()["frontend"] == "eventloop"
+        assert client.metrics()["frontend"] == "eventloop"
+
 
 class TestScanEndpoint:
     def test_inline_sources_return_records(self, client, corpus, artifact):
