@@ -1,50 +1,62 @@
-"""Sharded, content-addressed result cache for the scan engine.
+"""Content-addressed cache tiers of the scan engine, on one segment store.
 
-Scan results are cached per design, keyed by the SHA-256 hash of the
-design's source text, inside a store that is itself namespaced by the
-*model fingerprint* (see :mod:`repro.engine.artifacts`).  Two consequences:
+The engine caches per design in two tiers, both keyed by the SHA-256 hash
+of the design's source text:
 
-* editing a design's HDL changes its content hash, so the stale verdict is
-  simply never looked up again (invalidation by construction);
-* retraining the detector changes the fingerprint, which switches to a
-  fresh namespace directory, so verdicts can never leak across model
-  versions;
-* a non-default compute backend (which may round a borderline p-value
-  differently) gets a namespace of its own, derived from the fingerprint
-  and the backend name by :func:`cache_namespace`, so one backend's
-  records are never served to another.
+* the **result tier** (:class:`ScanCache`, this module) holds finished
+  :class:`ScanRecord` verdicts, namespaced by the *model fingerprint*
+  (see :mod:`repro.engine.artifacts`) and, for a non-default compute
+  backend, by the backend too (:func:`cache_namespace`);
+* the **feature tier** (:class:`repro.engine.feature_store.FeatureStore`)
+  holds extracted feature rows, namespaced by the feature schema.
 
-On disk the store is **sharded**: records live in per-shard JSON files
-under ``<dir>/<fp16>/shards/``, keyed by a prefix of their content hash
-(256 shards at the default 2-hex-char prefix).  Every shard file is
-written atomically (temp file + ``os.replace``), and flushes run under a
-namespace-wide lockfile with a read-merge-write protocol, so
+Namespacing gives invalidation by construction: editing a design's HDL
+changes its content hash, and retraining the detector (or switching the
+backend) switches to a fresh namespace directory, so a stale or foreign
+verdict is never looked up again.
 
-* a crashed scan never leaves a truncated shard behind,
-* two concurrent scans against the same cache directory cannot clobber
-  each other's results — each flush merges the records already on disk
-  with its own dirty records before replacing the file, and
-* an interrupted scan's completed shards survive and are reused on the
-  next run (the resume path of :class:`repro.engine.scheduler.ScanScheduler`).
+Both tiers sit on one on-disk implementation, :class:`SegmentStore`.  Rows
+are addressed by the first hex character of their content hash (16
+prefixes per namespace) under ``<root>/<fp16>/shards/``:
 
-Corrupt files (truncated JSON, unreadable bytes) are never fatal: they are
-quarantined next to the store as ``*.corrupt`` with a logged warning and
-the affected records are simply rescanned.  The pre-sharding single-file
-format (``scan_cache_<fp16>.json`` at the cache root) is read
-transparently and migrated into shard files on the first flush.
+* a flush appends one numbered segment ``<prefix>.<seq:08d>.seg.npz`` per
+  touched prefix, written atomically (temp file + ``os.replace``) under
+  the namespace ``flock``.  It never reads or rewrites existing files, so
+  it costs O(dirty rows), and concurrent writers (pool workers, a second
+  scan, a service) cannot clobber each other;
+* a lookup loads its prefix lazily, once, merging newest segment first
+  over the base shard ``<prefix>.npz``, so the latest write of a hash wins;
+* a prefix that reaches :data:`SEGMENT_COMPACT_THRESHOLD` segments is
+  folded into its base shard on the spot;
+* a damaged file is quarantined next to the store as ``*.corrupt`` with a
+  logged warning, and its rows are simply recomputed.
+
+Every file is an uncompressed ``.npz`` read with ``allow_pickle=False``:
+a ``meta`` JSON byte array (store version and full namespace fingerprint;
+a file whose meta differs is ignored), the sorted ``keys`` array, and the
+tier's row arrays.  The result tier stores its records as one JSON
+``records`` byte array aligned with ``keys``.  Each tier supplies only
+that row codec, its namespace, and its own failpoint guards.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import json
 import logging
 import os
 import random
+import struct
+import threading
 import time
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 try:
     import fcntl
@@ -65,19 +77,41 @@ from ..obs.metrics import REGISTRY
 
 logger = logging.getLogger(__name__)
 
-#: Bump when the on-disk record layout changes.  Version 1 was the single
-#: JSON blob per fingerprint; version 2 is the sharded store.
-CACHE_SCHEMA_VERSION = 2
+#: Bump when the result tier's on-disk record layout changes.  Versions 1
+#: and 2 were JSON formats that are no longer read: their records are
+#: recomputed on the next scan.
+CACHE_SCHEMA_VERSION = 3
 
-#: Schema version of the legacy single-file format (still readable).
-LEGACY_SCHEMA_VERSION = 1
-
-#: Subdirectory of a namespace that holds the per-prefix shard files.
+#: Subdirectory of a namespace that holds its segment and base shard files.
 SHARDS_DIRNAME = "shards"
 
-#: Default number of leading hex characters of the content hash that pick
-#: a record's shard file (2 -> up to 256 shard files per namespace).
-DEFAULT_SHARD_PREFIX_LEN = 2
+#: Leading hex characters of a content hash that pick its files (16 prefixes).
+PREFIX_LEN = 1
+
+#: A flush that leaves this many segments for one prefix folds them into
+#: the base shard right away (bounds merge-on-read work).
+SEGMENT_COMPACT_THRESHOLD = 8
+
+#: Filename suffix distinguishing append-only segments from base shards.
+SEGMENT_SUFFIX = ".seg.npz"
+
+#: Everything parsing a damaged segment file can raise (truncation, bad zip
+#: headers or checksums, unknown compression methods, garbled meta JSON).
+_DAMAGED = (
+    OSError,
+    EOFError,
+    KeyError,
+    ValueError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+    struct.error,
+)
+
+#: A tier's row codec: pack rows (in sorted key order) into named arrays,
+#: and unpack an open ``.npz`` back into rows.
+Encode = Callable[[List[Any]], Dict[str, np.ndarray]]
+Decode = Callable[[Any], List[Any]]
 
 # Result-tier cache telemetry (process-wide; see docs/OBSERVABILITY.md).
 _CACHE_HITS = REGISTRY.counter(
@@ -87,7 +121,7 @@ _CACHE_MISSES = REGISTRY.counter(
     "repro_cache_result_misses_total", "Result-cache lookups that missed."
 )
 _CACHE_FLUSHES = REGISTRY.counter(
-    "repro_cache_result_flushes_total", "Result-cache flushes that wrote shards."
+    "repro_cache_result_flushes_total", "Result-cache flushes that wrote segments."
 )
 
 
@@ -285,16 +319,6 @@ def _quarantine(path: Path, reason: Exception) -> None:
         pass  # a concurrent scan may have quarantined it already
 
 
-def _count_store_records(path: Path) -> int:
-    """Number of records in one store file (0 for unreadable files)."""
-    try:
-        data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-        return 0
-    records = data.get("records") if isinstance(data, dict) else None
-    return len(records) if isinstance(records, dict) else 0
-
-
 def _file_size(path: Path) -> int:
     """A file's size in bytes, 0 if it vanished (concurrent quarantine)."""
     try:
@@ -303,54 +327,326 @@ def _file_size(path: Path) -> int:
         return 0
 
 
-def describe_result_tier(directory: Union[str, Path]) -> Dict[str, Any]:
-    """Describe every fingerprint namespace under a result-cache root.
+def _load_segment(
+    raw: bytes,
+    meta: Optional[Dict[str, Any]] = None,
+    decode: Optional[Decode] = None,
+) -> Optional[Tuple[List[str], List[Any]]]:
+    """Parse one segment (or base shard) file's bytes into ``(keys, rows)``.
 
-    Pure directory walking plus JSON reads — no :class:`ScanCache` is
-    opened and no lock is taken, so this is safe against a live cache
-    (``python -m repro cache-info`` uses it).  Legacy single-file stores
-    at the root are reported under their fingerprint prefix with
-    ``legacy: True``; quarantined ``*.corrupt`` files are counted so an
-    operator notices corruption that the engine quietly survived.
+    Returns ``None`` when ``meta`` is given and the file's embedded meta
+    differs (another store version, or a 16-hex namespace-prefix
+    collision).  Rows are decoded only when a codec ``decode`` is given;
+    counting needs just the keys.  Raises one of :data:`_DAMAGED` for
+    bytes that are not a well-formed segment.
+    """
+    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
+        if meta is not None and json.loads(bytes(data["meta"]).decode("utf-8")) != meta:
+            return None
+        keys = [str(k) for k in data["keys"]]
+        rows = decode(data) if decode is not None else []
+    if decode is not None and len(rows) != len(keys):
+        raise ValueError("segment arrays have mismatched lengths")
+    return keys, rows
+
+
+def _count_rows(path: Path) -> int:
+    """Number of rows in one store file (0 for damaged or vanished files)."""
+    try:
+        loaded = _load_segment(path.read_bytes())
+    except _DAMAGED:
+        return 0
+    return len(loaded[0]) if loaded is not None else 0
+
+
+def _describe_tier(
+    directory: Union[str, Path], name_key: str, rows_key: str, skip: Tuple[str, ...] = ()
+) -> Dict[str, Any]:
+    """Describe every namespace under one tier root (``cache-info``).
+
+    Pure directory walking: no store is opened, no lock is taken and no
+    file is moved, so this is safe against a live cache.  Row counts sum
+    base shards and segments, so a hash rewritten in a later segment
+    counts once per file until the next compaction.  Quarantined
+    ``*.corrupt`` files are counted so an operator notices corruption the
+    engine quietly survived.  Namespaces are reported under ``name_key``
+    and row totals under ``rows_key``.
     """
     root = Path(directory)
     namespaces: List[Dict[str, Any]] = []
     if root.is_dir():
         for namespace in sorted(p for p in root.iterdir() if p.is_dir()):
-            # Skip the feature tier's conventional home under the same root.
-            if namespace.name == "features":
+            if namespace.name in skip:
                 continue
-            shards = sorted((namespace / SHARDS_DIRNAME).glob("*.json"))
+            files = sorted((namespace / SHARDS_DIRNAME).glob("*.npz"))
             corrupt = list(namespace.rglob("*.corrupt"))
-            if not shards and not corrupt:
+            if not files and not corrupt:
                 continue
+            n_segments = sum(p.name.endswith(SEGMENT_SUFFIX) for p in files)
             namespaces.append(
                 {
-                    "fingerprint": namespace.name,
-                    "n_shards": len(shards),
-                    "n_records": sum(_count_store_records(p) for p in shards),
-                    "bytes": sum(_file_size(p) for p in shards),
+                    name_key: namespace.name,
+                    "n_shards": len(files) - n_segments,
+                    "n_segments": n_segments,
+                    rows_key: sum(_count_rows(p) for p in files),
+                    "bytes": sum(_file_size(p) for p in files),
                     "n_corrupt": len(corrupt),
-                    "legacy": False,
-                }
-            )
-        for legacy in sorted(root.glob("scan_cache_*.json")):
-            namespaces.append(
-                {
-                    "fingerprint": legacy.stem.replace("scan_cache_", ""),
-                    "n_shards": 1,
-                    "n_records": _count_store_records(legacy),
-                    "bytes": _file_size(legacy),
-                    "n_corrupt": 0,
-                    "legacy": True,
                 }
             )
     return {
         "directory": str(root),
         "namespaces": namespaces,
-        "n_records": sum(ns["n_records"] for ns in namespaces),
+        rows_key: sum(ns[rows_key] for ns in namespaces),
         "bytes": sum(ns["bytes"] for ns in namespaces),
     }
+
+
+def describe_result_tier(directory: Union[str, Path]) -> Dict[str, Any]:
+    """Describe every model namespace under a result-cache root.
+
+    The feature tier's conventional home (``<root>/features``) is skipped.
+    See :func:`_describe_tier` for the counting rules.
+    """
+    return _describe_tier(directory, "fingerprint", "n_records", skip=("features",))
+
+
+class SegmentStore:
+    """Append-only, hash-prefix-addressed segment files of one namespace.
+
+    The one on-disk implementation under both cache tiers; each tier owns
+    one instance and supplies its row codec.  ``encode`` packs rows (in
+    sorted key order) into named arrays, ``decode`` unpacks an open
+    ``.npz`` back into rows.  ``meta`` is embedded in every file written
+    and must match on read.  ``read_guard`` sees every file's raw bytes
+    before parsing (the tier's corrupting failpoint).
+
+    The in-memory state is guarded by a lock, because a serving process
+    shares one feature store among the batch workers of every model
+    lane.  The namespace ``flock`` orders writers across processes.
+    """
+
+    def __init__(
+        self,
+        namespace_dir: Path,
+        meta: Dict[str, Any],
+        encode: Encode,
+        decode: Decode,
+        read_guard: Callable[[bytes], bytes],
+    ) -> None:
+        self.namespace_dir = namespace_dir
+        self.meta = meta
+        self._encode = encode
+        self._decode = decode
+        self._read_guard = read_guard
+        self._shards_dir = namespace_dir / SHARDS_DIRNAME
+        self._lock = _NamespaceLock(namespace_dir / ".lock")
+        self._mem_lock = threading.RLock()
+        #: Rows visible in memory (loaded from disk, or put since).
+        self._rows: Dict[str, Any] = {}
+        #: Keys put since the last flush.
+        self._dirty_keys: Set[str] = set()
+        #: Prefixes whose files have been read already.
+        self._loaded_prefixes: Set[str] = set()
+        #: Lookup statistics (``ScanReport.n_feature_hits``, profiling).
+        self.n_hits = 0
+        self.n_misses = 0
+
+    # -- addressing ----------------------------------------------------------
+    def _base_path(self, prefix: str) -> Path:
+        """The base shard file of a prefix (written only by compaction)."""
+        return self._shards_dir / f"{prefix}.npz"
+
+    def _segment_paths(self, prefix: str) -> List[Path]:
+        """A prefix's segment files, oldest first (sequence-number order)."""
+        try:
+            names = os.listdir(self._shards_dir)  # far cheaper than a glob
+        except OSError:
+            return []
+        start = f"{prefix}."
+        return [
+            self._shards_dir / name
+            for name in sorted(names)
+            if name.startswith(start) and name.endswith(SEGMENT_SUFFIX)
+        ]
+
+    def _next_segment_path(self, prefix: str, segments: List[Path]) -> Path:
+        """The next free segment filename after a prefix's ``segments``."""
+        last = -1
+        for path in segments:
+            seq = path.name[len(prefix) + 1 : -len(SEGMENT_SUFFIX)]
+            if seq.isdigit():
+                last = max(last, int(seq))
+        return self._shards_dir / f"{prefix}.{last + 1:08d}{SEGMENT_SUFFIX}"
+
+    # -- reading -------------------------------------------------------------
+    def _read_file(self, path: Path) -> Dict[str, Any]:
+        """Read one store file; damaged files are quarantined, not fatal."""
+        try:
+            # Read the whole file up front: no handle for np.load to leak
+            # when the zip header parse raises on a truncated file.
+            loaded = _load_segment(
+                self._read_guard(path.read_bytes()), self.meta, self._decode
+            )
+        except _DAMAGED as exc:
+            _quarantine(path, exc)
+            return {}
+        return dict(zip(*loaded)) if loaded is not None else {}
+
+    def _ensure_prefix_loaded(self, prefix: str) -> None:
+        """Lazily read the files backing a prefix (once).
+
+        Merge order is newest-first with ``setdefault``: unflushed rows win
+        over any disk copy, newer segments over older ones, and every
+        segment over the base shard.  A segment that vanishes mid-read (a
+        concurrent compaction folded it) is harmless: the base shard is
+        read last and carries its rows.
+        """
+        if prefix in self._loaded_prefixes:
+            return
+        self._loaded_prefixes.add(prefix)
+        paths = list(reversed(self._segment_paths(prefix)))
+        paths.append(self._base_path(prefix))
+        for path in paths:
+            if path.is_file():
+                for key, row in self._read_file(path).items():
+                    self._rows.setdefault(key, row)
+
+    def get(self, key: str) -> Optional[Any]:
+        """The row stored for a content hash, or ``None``."""
+        with self._mem_lock:
+            self._ensure_prefix_loaded(key[:PREFIX_LEN])
+            row = self._rows.get(key)
+            if row is None:
+                self.n_misses += 1
+            else:
+                self.n_hits += 1
+            return row
+
+    def __contains__(self, key: str) -> bool:
+        """Whether a row is stored for a content hash (no statistics)."""
+        with self._mem_lock:
+            self._ensure_prefix_loaded(key[:PREFIX_LEN])
+            return key in self._rows
+
+    def __len__(self) -> int:
+        """Number of rows visible (on disk or put since), loading every prefix."""
+        with self._mem_lock:
+            if self._shards_dir.is_dir():
+                for path in self._shards_dir.glob("*.npz"):
+                    self._ensure_prefix_loaded(path.name.split(".", 1)[0])
+            return len(self._rows)
+
+    def put(self, key: str, row: Any) -> None:
+        """Insert (or overwrite) the row for a content hash."""
+        with self._mem_lock:
+            self._rows[key] = row
+            self._dirty_keys.add(key)
+
+    # -- writing -------------------------------------------------------------
+    def _write_file(self, path: Path, rows: Dict[str, Any]) -> None:
+        """Atomically write one segment or base shard (namespace lock held).
+
+        Keys are written sorted, so a file's bytes are a pure function of
+        its contents: byte-identical across writers and runs.
+        """
+        keys = sorted(rows)
+        meta = json.dumps(self.meta, sort_keys=True).encode("utf-8")
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            meta=np.frombuffer(meta, dtype=np.uint8),
+            keys=np.array(keys),
+            **self._encode([rows[k] for k in keys]),
+        )
+        tmp_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp_path.write_bytes(buffer.getvalue())
+        os.replace(tmp_path, path)
+
+    def flush(self, io_guard: Callable[[], None]) -> bool:
+        """Append the dirty rows as one new segment per touched prefix.
+
+        Dirty rows are snapshotted under the memory lock and written
+        outside it, so rows put meanwhile stay dirty for the next flush.
+        ``io_guard`` runs under the namespace lock before any write (the
+        tier's flush failpoint).  If the write fails, the snapshot is
+        re-marked dirty so the rows are retried rather than lost.  Returns
+        whether anything was written.
+        """
+        with self._mem_lock:
+            if not self._dirty_keys:
+                return False
+            flushed_keys = set(self._dirty_keys)
+            by_prefix: Dict[str, Dict[str, Any]] = {}
+            for key in flushed_keys:
+                by_prefix.setdefault(key[:PREFIX_LEN], {})[key] = self._rows[key]
+            self._dirty_keys.clear()
+        try:
+            self._shards_dir.mkdir(parents=True, exist_ok=True)
+            with self._lock:
+                io_guard()
+                for prefix in sorted(by_prefix):
+                    segments = self._segment_paths(prefix)
+                    path = self._next_segment_path(prefix, segments)
+                    self._write_file(path, by_prefix[prefix])
+                    if len(segments) + 1 >= SEGMENT_COMPACT_THRESHOLD:
+                        self._compact_prefix(prefix)
+        except BaseException:  # re-mark dirty rows for retry, then re-raise
+            with self._mem_lock:
+                self._dirty_keys |= flushed_keys
+            raise
+        return True
+
+    def _compact_prefix(self, prefix: str) -> int:
+        """Fold a prefix's segments into its base shard (namespace lock held).
+
+        Merges base-then-oldest-to-newest so the newest write of every hash
+        wins, rewrites the base shard atomically, then removes the merged
+        segments.  Returns how many segments were folded in.
+        """
+        segments = self._segment_paths(prefix)
+        if not segments:
+            return 0
+        base_path = self._base_path(prefix)
+        merged = self._read_file(base_path) if base_path.is_file() else {}
+        for path in segments:
+            merged.update(self._read_file(path))
+        if merged:
+            self._write_file(base_path, merged)
+        for path in segments:
+            try:
+                path.unlink()
+            except OSError:
+                pass  # already quarantined or removed
+        return len(segments)
+
+    def compact(self) -> int:
+        """Fold every segment of the namespace into its base shard.
+
+        Safe against live readers and writers: runs under the namespace
+        lock, and readers fall back to the base shard for any segment that
+        vanishes under them.  Returns the number of segments removed.
+        """
+        if not self._shards_dir.is_dir():
+            return 0
+        prefixes = sorted(
+            {p.name.split(".", 1)[0] for p in self._shards_dir.glob(f"*{SEGMENT_SUFFIX}")}
+        )
+        with self._lock:
+            return sum(self._compact_prefix(prefix) for prefix in prefixes)
+
+
+def _encode_records(records: List[dict]) -> Dict[str, np.ndarray]:
+    """Result-tier codec: every record as one JSON byte array."""
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return {"records": np.frombuffer(blob, dtype=np.uint8)}
+
+
+def _decode_records(data: Any) -> List[dict]:
+    """Inverse of :func:`_encode_records`; a malformed array is damage."""
+    records = json.loads(bytes(data["records"]).decode("utf-8"))
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("segment records are not a list of JSON objects")
+    return records
 
 
 class ScanCache:
@@ -361,91 +657,33 @@ class ScanCache:
     directory:
         Cache root shared by all fingerprints (e.g. ``.repro_cache``).
     fingerprint:
-        Model fingerprint namespacing this store (records never cross it).
-    shard_prefix_len:
-        How many leading hex characters of a record's content hash select
-        its shard file.
+        Namespace of this store (a model fingerprint, or the
+        :func:`cache_namespace` of one); records never cross it.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        fingerprint: str,
-        shard_prefix_len: int = DEFAULT_SHARD_PREFIX_LEN,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path], fingerprint: str) -> None:
         self.directory = Path(directory)
         self.fingerprint = fingerprint
-        self.shard_prefix_len = shard_prefix_len
         self.namespace_dir = self.directory / fingerprint[:16]
-        self._shards_dir = self.namespace_dir / SHARDS_DIRNAME
-        self._legacy_path = self.directory / f"scan_cache_{fingerprint[:16]}.json"
-        self._lock = _NamespaceLock(self.namespace_dir / ".lock")
-        self._records: Dict[str, dict] = {}
-        self._dirty_keys: Set[str] = set()
-        self._cleared = False
-        self._load()
+        self._segments = SegmentStore(
+            self.namespace_dir,
+            meta={"store_version": CACHE_SCHEMA_VERSION, "fingerprint": fingerprint},
+            encode=_encode_records,
+            decode=_decode_records,
+            read_guard=lambda raw: corrupting_failpoint("cache.shard.read", raw),
+        )
 
-    # -- loading -------------------------------------------------------------
-    def _shard_path(self, sha256: str) -> Path:
-        """The shard file a content hash belongs to."""
-        return self._shards_dir / f"{sha256[: self.shard_prefix_len]}.json"
-
-    def _read_store_file(self, path: Path, expected_version: int) -> Dict[str, dict]:
-        """Read one store file; corrupt files are quarantined, not fatal."""
-        try:
-            raw = corrupting_failpoint("cache.shard.read", path.read_bytes())
-            data = json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-            _quarantine(path, exc)
-            return {}
-        if not isinstance(data, dict):
-            _quarantine(path, ValueError("top-level JSON value is not an object"))
-            return {}
-        if data.get("schema_version") != expected_version:
-            return {}
-        if data.get("fingerprint") != self.fingerprint:
-            return {}
-        records = data.get("records", {})
-        return dict(records) if isinstance(records, dict) else {}
-
-    def _load(self) -> None:
-        """Populate the in-memory view from legacy + shard files on disk."""
-        self._records = {}
-        if self._legacy_path.is_file():
-            legacy = self._read_store_file(self._legacy_path, LEGACY_SCHEMA_VERSION)
-            self._records.update(legacy)
-            # Mark legacy records dirty so the next flush migrates them into
-            # shard files (and retires the legacy blob).
-            self._dirty_keys.update(legacy)
-        if self._shards_dir.is_dir():
-            for path in sorted(self._shards_dir.glob("*.json")):
-                self._records.update(
-                    self._read_store_file(path, CACHE_SCHEMA_VERSION)
-                )
-
-    def reload(self) -> None:
-        """Re-read the on-disk store, keeping local unflushed records.
-
-        Lets a long-lived cache handle pick up records flushed by a
-        concurrent scan; local dirty records win over the disk copy.
-        """
-        dirty = {key: self._records[key] for key in self._dirty_keys if key in self._records}
-        self._load()
-        self._records.update(dirty)
-        self._dirty_keys.update(dirty)
-
-    # -- mapping-ish protocol ------------------------------------------------
     def __len__(self) -> int:
-        """Number of records currently visible (flushed or not)."""
-        return len(self._records)
+        """Number of records visible (flushed or not)."""
+        return len(self._segments)
 
     def __contains__(self, sha256: str) -> bool:
         """Whether a record for this content hash is present."""
-        return sha256 in self._records
+        return sha256 in self._segments
 
     def get(self, sha256: str) -> Optional[ScanRecord]:
         """The cached record for a content hash, marked ``cached=True``."""
-        data = self._records.get(sha256)
+        data = self._segments.get(sha256)
         if data is None:
             _CACHE_MISSES.inc()
             return None
@@ -464,75 +702,20 @@ class ScanCache:
             return
         stored = record.to_dict()
         stored["cached"] = False  # cached-ness is a property of the lookup
-        self._records[record.sha256] = stored
-        self._dirty_keys.add(record.sha256)
+        self._segments.put(record.sha256, stored)
 
     def put_many(self, records: Iterable[ScanRecord]) -> None:
         """Insert several records (see :meth:`put`)."""
         for record in records:
             self.put(record)
 
-    def clear(self) -> None:
-        """Drop all records (and every shard file on the next flush)."""
-        self._records = {}
-        self._dirty_keys = set()
-        self._cleared = True
-
-    # -- persistence --------------------------------------------------------
-    def _delete_store_files(self) -> None:
-        """Remove the legacy blob and every shard file (lock held)."""
-        if self._legacy_path.is_file():
-            self._legacy_path.unlink()
-        if self._shards_dir.is_dir():
-            for path in self._shards_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
     def flush(self) -> Optional[Path]:
-        """Atomically persist dirty records to their shard files.
+        """Append dirty records as new segments (see :class:`SegmentStore`).
 
-        Runs under the namespace lockfile with a read-merge-write cycle per
-        affected shard: records another process flushed meanwhile are kept
-        (and absorbed into this cache's in-memory view), our dirty records
-        win for their own keys.  Returns the namespace directory when
-        anything was written, ``None`` otherwise.
+        Returns the namespace directory when anything was written, ``None``
+        otherwise.
         """
-        if not self._dirty_keys and not self._cleared:
+        if not self._segments.flush(lambda: failpoint("cache.flush.io")):
             return None
-        self._shards_dir.mkdir(parents=True, exist_ok=True)
-        by_shard: Dict[Path, List[str]] = {}
-        for key in self._dirty_keys:
-            by_shard.setdefault(self._shard_path(key), []).append(key)
-        with self._lock:
-            failpoint("cache.flush.io")
-            if self._cleared:
-                self._delete_store_files()
-                self._cleared = False
-            migrating = self._legacy_path.is_file()
-            for path, keys in sorted(by_shard.items()):
-                on_disk = (
-                    self._read_store_file(path, CACHE_SCHEMA_VERSION)
-                    if path.is_file()
-                    else {}
-                )
-                merged = dict(on_disk)
-                merged.update((key, self._records[key]) for key in keys)
-                atomic_write_json(
-                    path,
-                    {
-                        "schema_version": CACHE_SCHEMA_VERSION,
-                        "fingerprint": self.fingerprint,
-                        "records": merged,
-                    },
-                )
-                for key, value in on_disk.items():
-                    self._records.setdefault(key, value)
-            if migrating:
-                # Every legacy record was marked dirty at load time, so by
-                # now they all live in shard files; retire the old blob.
-                self._legacy_path.unlink()
-        self._dirty_keys.clear()
         _CACHE_FLUSHES.inc()
         return self.namespace_dir

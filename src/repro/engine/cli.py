@@ -45,7 +45,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..core.config import NoodleConfig, default_config
@@ -409,13 +409,9 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
         f"({_format_bytes(result['bytes'])})"
     )
     for ns in result["namespaces"]:
-        legacy = " [legacy v1 layout]" if ns["legacy"] else ""
-        corrupt = (
-            f", {ns['n_corrupt']} quarantined" if ns["n_corrupt"] else ""
-        )
         print(
             f"  model {ns['fingerprint']}: {ns['n_records']} records, "
-            f"{ns['n_shards']} shards ({_format_bytes(ns['bytes'])}){corrupt}{legacy}"
+            f"{_format_files(ns)}"
         )
     print(
         f"feature tier  : {features['n_rows']} rows in "
@@ -424,10 +420,18 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
     )
     for ns in features["namespaces"]:
         print(
-            f"  schema {ns['schema']}: {ns['n_rows']} rows, "
-            f"{ns['n_shards']} shards ({_format_bytes(ns['bytes'])})"
+            f"  schema {ns['schema']}: {ns['n_rows']} rows, {_format_files(ns)}"
         )
     return EXIT_OK
+
+
+def _format_files(ns: Dict[str, Any]) -> str:
+    """One namespace's file summary (``cache-info`` output)."""
+    corrupt = f", {ns['n_corrupt']} quarantined" if ns["n_corrupt"] else ""
+    return (
+        f"{ns['n_shards']} shards + {ns['n_segments']} segments "
+        f"({_format_bytes(ns['bytes'])}){corrupt}"
+    )
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:

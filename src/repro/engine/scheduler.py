@@ -129,9 +129,9 @@ def _init_scan_worker(payload: Tuple[str, Any, str, int, Optional[str], str]) ->
     before the pool started).  Workers never touch the
     *result* cache (the parent owns all result-cache I/O, so a scan keeps
     a single writer per process tree), but each worker opens its own
-    handle on the shared model-independent feature store: the store's
-    ``flock`` + read-merge-write flush discipline makes any number of
-    concurrent writers safe, and sharing it means a shard full of
+    handle on the shared model-independent feature store: its
+    append-only segment flushes under the namespace ``flock`` make any
+    number of concurrent writers safe, and sharing it means a shard full of
     already-seen designs skips extraction inside the worker too.
     """
     global _WORKER_ENGINE
@@ -322,7 +322,7 @@ class ScanScheduler:
         Optional root of the model-independent feature tier.  Every pool
         worker (and the serial-path parent engine) opens its own
         :class:`repro.engine.feature_store.FeatureStore` handle on it —
-        the store's ``flock`` + read-merge-write flush discipline makes
+        append-only segment flushes under the namespace ``flock`` make
         concurrent writers safe, the same guarantee the result cache
         gives the parent.
     jobs:

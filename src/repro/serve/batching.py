@@ -3,7 +3,7 @@
 Per-request inference is wasteful: a batch-1 CNN forward pass is almost
 all fixed overhead (layer setup, im2col, the conformal ``searchsorted``
 calls), and with the result cache attached every request also pays a
-lock + read-merge-write cache flush.  :class:`MicroBatcher` amortises
+locked cache flush.  :class:`MicroBatcher` amortises
 both: callers enqueue their designs (``submit_nowait`` with a completion
 callback, as the event-loop front-end does, or the blocking ``submit``),
 a single worker thread collects everything that arrives within
@@ -21,7 +21,7 @@ process-wide :class:`ScanEngine`.
 Batch assembly is copy-lean end to end: the engine preallocates each
 micro-batch's feature matrices once and fills slices in place (feature
 rows served from the model-independent feature store are read-only views
-into its packed shards, copied exactly once into the batch), and on the
+into its packed segments, copied exactly once into the batch), and on the
 way out each request receives a zero-copy slice of the shared record
 list.  After a hot reload the feature tier stays warm — the registry owns
 it, not the swapped engine — so post-reload batches of known designs skip

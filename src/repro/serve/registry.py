@@ -7,7 +7,7 @@ it also must not serve a stale detector forever: recalibration
 and changes its fingerprint.  :class:`ModelRegistry` resolves both needs:
 
 * each artifact is loaded **once** into a :class:`repro.engine.scan.ScanEngine`
-  keyed by its fingerprint, with the sharded result cache attached under
+  keyed by its fingerprint, with the result cache attached under
   that fingerprint (so cached verdicts can never leak across retrains);
 * every lookup runs a cheap staleness probe — the ``manifest.json`` mtime
   is stat'ed, and only when it changed is the manifest re-read to compare
@@ -93,18 +93,13 @@ class ModelRegistry:
     Parameters
     ----------
     cache_dir:
-        Root of the sharded scan-result cache; each loaded model gets a
+        Root of the scan-result cache; each loaded model gets a
         :class:`repro.engine.cache.ScanCache` namespaced by its own
-        fingerprint.  ``None`` serves uncached.
+        fingerprint (and the registry's backend).  Both cache tiers use
+        the same append-only segment store, with one fixed hash-prefix
+        length.  ``None`` serves uncached.
     image_size:
         Adjacency-image size the feature pipeline was trained with.
-    cache_shard_prefix_len:
-        Hash-prefix length of the attached caches' shard files.  The
-        serving default is ``1`` (16 shards): a service is a single
-        cache writer flushing small dirty sets, where 256-way sharding
-        would turn every flush into one file write per design.  Both
-        layouts coexist in one cache directory (readers merge all shard
-        files).
     feature_cache:
         Attach the model-independent feature tier
         (:class:`repro.engine.feature_store.FeatureStore`, under
@@ -136,7 +131,6 @@ class ModelRegistry:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         image_size: int = DEFAULT_IMAGE_SIZE,
-        cache_shard_prefix_len: int = 1,
         feature_cache: bool = True,
         feature_store_dir: Optional[Union[str, Path]] = None,
         reload_ttl_s: float = DEFAULT_RELOAD_TTL_S,
@@ -144,7 +138,6 @@ class ModelRegistry:
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.image_size = image_size
-        self.cache_shard_prefix_len = cache_shard_prefix_len
         self.reload_ttl_s = reload_ttl_s
         get_backend(backend)  # unknown names fail at construction
         self.backend = backend
@@ -192,11 +185,7 @@ class ModelRegistry:
         model, manifest = load_detector(artifact_path)
         fingerprint = manifest.get("fingerprint", "unversioned")
         cache = (
-            ScanCache(
-                self.cache_dir,
-                cache_namespace(fingerprint, self.backend),
-                shard_prefix_len=self.cache_shard_prefix_len,
-            )
+            ScanCache(self.cache_dir, cache_namespace(fingerprint, self.backend))
             if self.cache_dir is not None
             else None
         )

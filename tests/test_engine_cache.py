@@ -1,4 +1,4 @@
-"""Sharded result-cache tests: atomicity, migration, quarantine, concurrency."""
+"""Result-cache tests: segment layout, atomicity, quarantine, locking, concurrency."""
 
 from __future__ import annotations
 
@@ -7,16 +7,19 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.results import ScanRecord, TrojanDecision
 from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
+    PREFIX_LEN,
     CacheLockTimeout,
-    LEGACY_SCHEMA_VERSION,
     ScanCache,
+    describe_result_tier,
 )
 from repro.engine.scan import hash_source
+from segment_contract import QuarantineContract, SegmentContract, store_files
 
 
 def _record(name: str, label: int = 0) -> ScanRecord:
@@ -38,6 +41,58 @@ def _record(name: str, label: int = 0) -> ScanRecord:
     )
 
 
+def _read_segment(path):
+    """``(meta, keys, records)`` of one result-tier segment file."""
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        keys = [str(k) for k in data["keys"]]
+        records = json.loads(bytes(data["records"]).decode("utf-8"))
+    return meta, keys, records
+
+
+class ResultTier:
+    """The result tier behind the shared segment-store contract tests."""
+
+    rows_key = "n_records"
+
+    def __init__(self, root):
+        self.root = root
+        self.records = [_record(f"d{i}") for i in range(20)]
+        self.keys = [r.sha256 for r in self.records]
+
+    def open(self):
+        return ScanCache(self.root, "fp-contract")
+
+    def fill(self):
+        cache = self.open()
+        cache.put_many(self.records)
+        cache.flush()
+        return cache
+
+    def put(self, store, key, value):
+        assert value.sha256 == key
+        store.put(value)
+
+    def replacement(self, value):
+        flipped = _record(value.name, label=1 - value.decision.predicted_label)
+        assert flipped.sha256 == value.sha256
+        return flipped
+
+    def same(self, a, b):
+        return dict(a.to_dict(), cached=None) == dict(b.to_dict(), cached=None)
+
+    def compact(self, store):
+        return store._segments.compact()
+
+    def describe(self):
+        return describe_result_tier(self.root)
+
+
+@pytest.fixture
+def tier(tmp_path):
+    return ResultTier(tmp_path / "cache")
+
+
 class TestShardedStore:
     def test_put_flush_reload_round_trip(self, tmp_path):
         cache = ScanCache(tmp_path, "fp-rt")
@@ -55,14 +110,15 @@ class TestShardedStore:
         cache = ScanCache(tmp_path, "fp-shard")
         cache.put_many(_record(f"d{i}") for i in range(40))
         cache.flush()
-        shard_files = sorted((cache.namespace_dir / "shards").glob("*.json"))
-        assert len(shard_files) > 1  # hash prefixes spread across files
-        for path in shard_files:
-            data = json.loads(path.read_text())
-            assert data["schema_version"] == CACHE_SCHEMA_VERSION
-            assert data["fingerprint"] == "fp-shard"
-            for sha in data["records"]:
-                assert sha.startswith(path.stem)
+        files = store_files(cache)
+        assert len(files) > 1  # hash prefixes spread across files
+        for path in files:
+            meta, keys, records = _read_segment(path)
+            assert meta == {"store_version": CACHE_SCHEMA_VERSION, "fingerprint": "fp-shard"}
+            assert keys == sorted(keys)
+            assert [r["sha256"] for r in records] == keys
+            for sha in keys:
+                assert path.name.startswith(f"{sha[:PREFIX_LEN]}.")
 
     def test_flush_leaves_no_temp_files(self, tmp_path):
         cache = ScanCache(tmp_path, "fp-tmp")
@@ -78,15 +134,6 @@ class TestShardedStore:
         cache.flush()
         assert cache.flush() is None
 
-    def test_clear_removes_shard_files(self, tmp_path):
-        cache = ScanCache(tmp_path, "fp-clear")
-        cache.put_many(_record(f"d{i}") for i in range(10))
-        cache.flush()
-        cache.clear()
-        cache.flush()
-        assert len(ScanCache(tmp_path, "fp-clear")) == 0
-        assert list((cache.namespace_dir / "shards").glob("*.json")) == []
-
     def test_error_records_not_cached(self, tmp_path):
         cache = ScanCache(tmp_path, "fp-err")
         cache.put(ScanRecord(name="bad", sha256=hash_source("bad"), error="boom"))
@@ -99,74 +146,42 @@ class TestShardedStore:
         assert ScanCache(tmp_path, "fp-two").get(hash_source("shared")) is None
 
 
-class TestLegacyMigration:
-    def _write_legacy(self, tmp_path, fingerprint: str, records) -> None:
-        payload = {
-            "schema_version": LEGACY_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "records": {
-                r.sha256: dict(r.to_dict(), cached=False) for r in records
-            },
-        }
-        path = tmp_path / f"scan_cache_{fingerprint[:16]}.json"
-        path.write_text(json.dumps(payload))
-
-    def test_legacy_single_file_read_transparently(self, tmp_path):
-        records = [_record(f"old_{i}") for i in range(5)]
-        self._write_legacy(tmp_path, "fp-legacy", records)
-        cache = ScanCache(tmp_path, "fp-legacy")
-        assert len(cache) == 5
-        assert cache.get(records[0].sha256).cached
-
-    def test_flush_migrates_legacy_into_shards(self, tmp_path):
-        records = [_record(f"old_{i}") for i in range(5)]
-        self._write_legacy(tmp_path, "fp-mig", records)
-        cache = ScanCache(tmp_path, "fp-mig")
-        cache.put(_record("new_one"))
-        cache.flush()
-        assert not (tmp_path / "scan_cache_fp-mig.json").exists()
-        fresh = ScanCache(tmp_path, "fp-mig")
-        assert len(fresh) == 6  # all legacy records plus the new one survived
-
-    def test_wrong_fingerprint_legacy_ignored(self, tmp_path):
-        self._write_legacy(tmp_path, "fp-other", [_record("x")])
-        os.replace(
-            tmp_path / "scan_cache_fp-other.json",
-            tmp_path / "scan_cache_fp-mine.json",
-        )
-        assert len(ScanCache(tmp_path, "fp-mine")) == 0
+class TestAppendOnlySegments(SegmentContract):
+    """Flush appends segments; compaction folds them into base shards."""
 
 
-class TestCorruptFiles:
-    def test_corrupt_legacy_file_quarantined(self, tmp_path, caplog):
-        path = tmp_path / "scan_cache_fp-corrupt.json"
-        path.write_text('{"schema_version": 1, "records": {tru')
-        with caplog.at_level("WARNING", logger="repro.engine.cache"):
-            cache = ScanCache(tmp_path, "fp-corrupt")
-        assert len(cache) == 0
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-        assert any("quarantining" in message for message in caplog.messages)
-
-    def test_corrupt_shard_file_quarantined_and_rest_kept(self, tmp_path):
+class TestCorruptFiles(QuarantineContract):
+    def test_corrupt_shard_file_quarantined_and_rest_kept(self, tmp_path, caplog):
         cache = ScanCache(tmp_path, "fp-half")
         records = [_record(f"d{i}") for i in range(20)]
         cache.put_many(records)
         cache.flush()
-        shard_files = sorted((cache.namespace_dir / "shards").glob("*.json"))
-        victim = shard_files[0]
-        lost = set(json.loads(victim.read_text())["records"])
-        victim.write_text("NOT JSON AT ALL")
-        fresh = ScanCache(tmp_path, "fp-half")
-        assert len(fresh) == 20 - len(lost)
+        victim = store_files(cache)[0]
+        lost = set(_read_segment(victim)[1])
+        victim.write_text("NOT AN NPZ AT ALL")
+        with caplog.at_level("WARNING", logger="repro.engine.cache"):
+            fresh = ScanCache(tmp_path, "fp-half")
+            assert len(fresh) == 20 - len(lost)
         assert victim.with_name(victim.name + ".corrupt").exists()
+        assert any("quarantining" in message for message in caplog.messages)
         survivors = [r for r in records if r.sha256 not in lost]
         assert all(fresh.get(r.sha256) is not None for r in survivors)
 
     def test_non_object_json_quarantined(self, tmp_path):
-        path = tmp_path / "scan_cache_fp-lst.json"
-        path.write_text("[1, 2, 3]")
-        assert len(ScanCache(tmp_path, "fp-lst")) == 0
+        # A well-formed archive whose records array is not a list of objects.
+        cache = ScanCache(tmp_path, "fp-lst")
+        sha = hash_source("x")
+        shards = cache.namespace_dir / "shards"
+        shards.mkdir(parents=True)
+        path = shards / f"{sha[:PREFIX_LEN]}.00000000.seg.npz"
+        meta = json.dumps({"store_version": CACHE_SCHEMA_VERSION, "fingerprint": "fp-lst"})
+        np.savez(
+            path,
+            meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
+            keys=np.array([sha]),
+            records=np.frombuffer(b"[1, 2, 3]", dtype=np.uint8),
+        )
+        assert len(cache) == 0
         assert path.with_name(path.name + ".corrupt").exists()
 
 
@@ -194,7 +209,7 @@ class TestLocking:
         fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
         fcntl.flock(fd, fcntl.LOCK_EX)
         try:
-            cache._lock.timeout = 0.2
+            cache._segments._lock.timeout = 0.2
             cache.put(_record("a"))
             with pytest.raises(CacheLockTimeout):
                 cache.flush()
@@ -243,19 +258,20 @@ class TestConcurrentWriters:
         }
         cache = ScanCache(tmp_path, "fp-stress")
         assert {sha for sha in expected if sha in cache} == expected
-        # Every store file must be intact JSON with the right schema.
-        for path in (cache.namespace_dir / "shards").glob("*.json"):
-            data = json.loads(path.read_text())
-            assert data["schema_version"] == CACHE_SCHEMA_VERSION
+        # Every store file must be an intact segment with the right schema.
+        for path in store_files(cache):
+            meta, keys, records = _read_segment(path)
+            assert meta["store_version"] == CACHE_SCHEMA_VERSION
+            assert len(keys) == len(records)
         assert not list(tmp_path.rglob("*.corrupt"))
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_flush_merges_concurrent_updates_between_handles(self, tmp_path):
-        # Two names landing in the same shard file (same 2-hex-char prefix).
+        # Two names landing in the same hash prefix.
         seen: dict = {}
         pair = None
         for i in range(1000):
-            prefix = hash_source(f"n{i}")[:2]
+            prefix = hash_source(f"n{i}")[:PREFIX_LEN]
             if prefix in seen:
                 pair = (seen[prefix], f"n{i}")
                 break
@@ -267,20 +283,10 @@ class TestConcurrentWriters:
         first.put(_record(alpha))
         first.flush()
         second.put(_record(beta))
-        second.flush()  # must not clobber alpha, written meanwhile to the same shard
+        second.flush()  # must not clobber alpha, written meanwhile to the same prefix
         merged = ScanCache(tmp_path, "fp-merge")
         assert merged.get(hash_source(alpha)) is not None
         assert merged.get(hash_source(beta)) is not None
-        # The second handle also absorbed alpha during its merge-on-flush.
+        # The second handle also sees alpha: its prefix loads lazily, after
+        # the first handle's segment landed.
         assert hash_source(alpha) in second
-
-    def test_reload_picks_up_other_writers(self, tmp_path):
-        holder = ScanCache(tmp_path, "fp-reload")
-        other = ScanCache(tmp_path, "fp-reload")
-        other.put(_record("from_other"))
-        other.flush()
-        assert hash_source("from_other") not in holder
-        holder.put(_record("local_unflushed"))
-        holder.reload()
-        assert hash_source("from_other") in holder
-        assert hash_source("local_unflushed") in holder  # dirty records survive

@@ -1,5 +1,5 @@
 """Feature-store tests: round-trips, corruption, schema invalidation,
-concurrent writers, byte-identical warm-feature rescans and legacy layouts."""
+concurrent writers, byte-identical warm-feature rescans and old cache layouts."""
 
 from __future__ import annotations
 
@@ -10,16 +10,13 @@ import pytest
 
 from repro.core.config import ClassifierConfig, NoodleConfig
 from repro.engine import FeatureStore, ScanCache, ScanEngine, train_detector
-from repro.engine.feature_store import (
-    SEGMENT_COMPACT_THRESHOLD,
-    SEGMENT_SUFFIX,
-    describe_feature_tier,
-    gc_feature_tier,
-)
+from repro.engine.cli import main
+from repro.engine.feature_store import describe_feature_tier, gc_feature_tier
 from repro.engine.scan import assemble_features, extract_feature_rows, sources_from_pairs
 from repro.engine.scheduler import ScanScheduler
 from repro.features.pipeline import feature_schema_fingerprint
 from repro.trojan import SuiteConfig, TrojanDataset
+from segment_contract import QuarantineContract, SegmentContract
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +35,46 @@ def scan_batch():
 
 def _shard_files(store: FeatureStore):
     return sorted(store.namespace_dir.glob("shards/*.npz"))
+
+
+class FeatureTier:
+    """The feature tier behind the shared segment-store contract tests."""
+
+    rows_key = "n_rows"
+
+    def __init__(self, root, scan_batch):
+        self.root = root
+        self.scan_batch = scan_batch
+        self.keys = [src.sha256 for src in scan_batch]
+
+    def open(self):
+        return FeatureStore(self.root)
+
+    def fill(self):
+        store = self.open()
+        extract_feature_rows(self.scan_batch, workers=1, store=store)
+        store.flush()
+        return store
+
+    def put(self, store, key, value):
+        store.put(key, value)
+
+    def replacement(self, value):
+        return tuple(arr + 1.0 for arr in value)
+
+    def same(self, a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def compact(self, store):
+        return store.compact()
+
+    def describe(self):
+        return describe_feature_tier(self.root)
+
+
+@pytest.fixture
+def tier(scan_batch, tmp_path):
+    return FeatureTier(tmp_path / "features", scan_batch)
 
 
 class TestRoundTrip:
@@ -80,31 +117,7 @@ class TestRoundTrip:
             assert pa.read_bytes() == pb.read_bytes()
 
 
-class TestCorruptionQuarantine:
-    def test_truncated_shard_is_quarantined_not_fatal(self, scan_batch, tmp_path):
-        store = FeatureStore(tmp_path / "features")
-        extract_feature_rows(scan_batch, workers=1, store=store)
-        store.flush()
-        victim = _shard_files(store)[0]
-        victim.write_bytes(victim.read_bytes()[:40])
-        reread = FeatureStore(tmp_path / "features")
-        # Rows in the corrupt shard are simply misses; nothing raises.
-        results = [reread.get(src.sha256) for src in scan_batch]
-        assert any(r is None for r in results)
-        assert victim.with_name(victim.name + ".corrupt").is_file()
-        assert not victim.is_file()
-
-    def test_non_npz_garbage_is_quarantined(self, scan_batch, tmp_path):
-        store = FeatureStore(tmp_path / "features")
-        extract_feature_rows(scan_batch, workers=1, store=store)
-        store.flush()
-        for shard in _shard_files(store):
-            shard.write_text("this is not a zip archive")
-        reread = FeatureStore(tmp_path / "features")
-        assert all(reread.get(src.sha256) is None for src in scan_batch)
-        corrupt = list(reread.namespace_dir.glob("shards/*.corrupt"))
-        assert corrupt
-
+class TestCorruptionQuarantine(QuarantineContract):
     def test_quarantined_rows_are_reextracted_and_repersisted(
         self, scan_batch, tmp_path
     ):
@@ -172,7 +185,7 @@ class TestConcurrentWriters:
         extract_feature_rows(first, workers=1, store=store_a)
         extract_feature_rows(second, workers=1, store=store_b)
         store_a.flush()
-        store_b.flush()  # read-merge-write must keep store_a's rows
+        store_b.flush()  # a separate segment: store_a's rows stay
         merged = FeatureStore(tmp_path / "features")
         assert all(merged.get(src.sha256) is not None for src in scan_batch)
 
@@ -259,40 +272,65 @@ class TestEngineIntegration:
         assert again.n_feature_hits == 0  # never reached the feature tier
 
     def test_legacy_cache_dir_without_feature_tier_still_works(
-        self, detector, scan_batch, tmp_path
+        self, detector, scan_batch, tmp_path, capsys
     ):
-        # A pre-feature-tier cache directory: legacy v1 single-file result
-        # store, no features/ subdir.  Attaching both tiers must serve the
-        # legacy records, migrate them, and start the feature tier fresh.
-        legacy_cache = ScanCache(tmp_path / "cache", "fp-legacy")
-        seeded = ScanEngine(
-            detector, fingerprint="fp-legacy", cache=legacy_cache
-        ).scan_sources(scan_batch, workers=1)
-        # Rewrite the store as the legacy v1 single-file blob.
-        for shard in (tmp_path / "cache" / "fp-legacy"[:16] / "shards").glob("*.json"):
-            shard.unlink()
-        legacy_blob = tmp_path / "cache" / f"scan_cache_{'fp-legacy'[:16]}.json"
-        legacy_blob.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "fingerprint": "fp-legacy",
-                    "records": {
-                        r.sha256: dict(r.to_dict(), cached=False)
-                        for r in seeded.records
-                    },
-                }
+        # A cache directory written by the JSON-shard result tier: v2
+        # shard files under the namespace, a v1 single-file blob at the
+        # root, no features/ subdir.  Those formats are no longer read,
+        # so their records are recomputed, never served.  Their verdicts
+        # are poisoned (p-values swapped) to show they are not read.
+        baseline = ScanEngine(detector).scan_sources(scan_batch, workers=1)
+        fingerprint = "fp-legacy"
+        cache_dir = tmp_path / "cache"
+        poisoned = {}
+        for record in baseline.records:
+            data = dict(record.to_dict(), cached=False)
+            decision = dict(data["decision"])
+            decision["p_value_trojan_free"], decision["p_value_trojan_infected"] = (
+                decision["p_value_trojan_infected"],
+                decision["p_value_trojan_free"],
             )
-        )
+            poisoned[record.sha256] = dict(data, decision=decision)
+        old_files = {}
+        shards = cache_dir / fingerprint[:16] / "shards"
+        shards.mkdir(parents=True)
+        for sha, data in poisoned.items():
+            path = shards / f"{sha[:2]}.json"
+            payload = old_files.get(path) or {
+                "schema_version": 2,
+                "fingerprint": fingerprint,
+                "records": {},
+            }
+            payload["records"][sha] = data
+            old_files[path] = payload
+        old_files[cache_dir / f"scan_cache_{fingerprint[:16]}.json"] = {
+            "schema_version": 1,
+            "fingerprint": fingerprint,
+            "records": poisoned,
+        }
+        for path, payload in old_files.items():
+            path.write_text(json.dumps(payload))
+        old_bytes = {path: path.read_bytes() for path in old_files}
+
         engine = ScanEngine(
             detector,
-            fingerprint="fp-legacy",
-            cache=ScanCache(tmp_path / "cache", "fp-legacy"),
-            feature_store=FeatureStore(tmp_path / "cache" / "features"),
+            fingerprint=fingerprint,
+            cache=ScanCache(cache_dir, fingerprint),
+            feature_store=FeatureStore(cache_dir / "features"),
         )
         report = engine.scan_sources(scan_batch, workers=1)
-        assert report.n_cache_hits == len(scan_batch)
-        assert not legacy_blob.is_file()  # migrated on flush
+        assert report.n_cache_hits == 0
+
+        def strip(records):
+            return [dict(r.to_dict(), cached=None) for r in records]
+
+        assert strip(report.records) == strip(baseline.records)
+        assert main(["cache-info", "--cache-dir", str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert main(["cache-info", "--cache-dir", str(cache_dir), "--json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["result_tier"]["n_records"] == len(scan_batch)  # fresh segments only
+        assert {path: path.read_bytes() for path in old_files} == old_bytes
 
     def test_feature_store_flush_deferred_with_flush_cache_false(
         self, detector, scan_batch, tmp_path
@@ -321,76 +359,8 @@ class TestDescribe:
         assert info["n_rows"] == 0 and info["namespaces"] == []
 
 
-class TestAppendOnlySegments:
+class TestAppendOnlySegments(SegmentContract):
     """Flush appends segments; compaction folds them into base shards."""
-
-    def _store_with_rows(self, scan_batch, directory):
-        store = FeatureStore(directory)
-        extract_feature_rows(scan_batch, workers=1, store=store)
-        store.flush()
-        return store
-
-    def test_flush_writes_numbered_segments_not_base_shards(
-        self, scan_batch, tmp_path
-    ):
-        store = self._store_with_rows(scan_batch, tmp_path / "features")
-        segments = sorted(store.namespace_dir.glob(f"shards/*{SEGMENT_SUFFIX}"))
-        assert segments, "flush should write append-only segment files"
-        for path in segments:
-            # <prefix>.<seq:08d>.seg.npz
-            seq = path.name[: -len(SEGMENT_SUFFIX)].rsplit(".", 1)[1]
-            assert len(seq) == 8 and seq.isdigit()
-
-    def test_merge_on_read_newest_segment_wins(self, scan_batch, tmp_path):
-        store = self._store_with_rows(scan_batch, tmp_path / "features")
-        target = scan_batch[0]
-        original = store.get(target.sha256)
-        # Re-put the same hash with different arrays: the second flush
-        # writes a newer segment that must shadow the first on re-read.
-        replacement = tuple(arr + 1.0 for arr in original)
-        store.put(target.sha256, replacement)
-        store.flush()
-        reread = FeatureStore(tmp_path / "features")
-        loaded = reread.get(target.sha256)
-        for new, got in zip(replacement, loaded):
-            assert np.array_equal(new, got)
-
-    def test_compact_folds_segments_and_preserves_rows(self, scan_batch, tmp_path):
-        store = self._store_with_rows(scan_batch, tmp_path / "features")
-        store.put(scan_batch[0].sha256, store.get(scan_batch[0].sha256))
-        store.flush()
-        compacting = FeatureStore(tmp_path / "features")
-        folded = compacting.compact()
-        assert folded >= 2
-        assert not list(compacting.namespace_dir.glob(f"shards/*{SEGMENT_SUFFIX}"))
-        reread = FeatureStore(tmp_path / "features")
-        for src in scan_batch:
-            assert reread.get(src.sha256) is not None
-
-    def test_flush_auto_compacts_at_threshold(self, scan_batch, tmp_path):
-        store = self._store_with_rows(scan_batch, tmp_path / "features")
-        target = scan_batch[0]
-        row = store.get(target.sha256)
-        for _ in range(SEGMENT_COMPACT_THRESHOLD):
-            store.put(target.sha256, row)
-            store.flush()
-        # The threshold-th flush triggers an inline fold: no segment
-        # backlog survives unbounded growth.
-        prefix_segments = [
-            p
-            for p in store.namespace_dir.glob(f"shards/*{SEGMENT_SUFFIX}")
-            if p.name.startswith(target.sha256[:2])
-        ]
-        assert len(prefix_segments) < SEGMENT_COMPACT_THRESHOLD
-
-    def test_describe_reports_segment_counts(self, scan_batch, tmp_path):
-        store = self._store_with_rows(scan_batch, tmp_path / "features")
-        info = describe_feature_tier(tmp_path / "features")
-        assert info["namespaces"][0]["n_segments"] >= 1
-        compacted = FeatureStore(tmp_path / "features")
-        compacted.compact()
-        info = describe_feature_tier(tmp_path / "features")
-        assert info["namespaces"][0]["n_segments"] == 0
 
 
 class TestGcFeatureTier:

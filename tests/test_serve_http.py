@@ -213,7 +213,7 @@ class TestLifecycle:
         # persisted the record.
         entry = svc.registry.entries()[0]
         shards = tmp_path / "cache" / entry.fingerprint[:16] / "shards"
-        assert shards.is_dir() and any(shards.glob("*.json"))
+        assert shards.is_dir() and any(shards.glob("*.seg.npz"))
 
     def test_shutdown_is_not_pinned_by_idle_keepalive_connections(self, artifact):
         import time

@@ -152,7 +152,7 @@ class TestHotReload:
         shards_dir = tmp_path / "cache" / entry.fingerprint[:16] / "shards"
         assert not shards_dir.is_dir()
         registry.flush_caches()
-        assert shards_dir.is_dir() and any(shards_dir.glob("*.json"))
+        assert shards_dir.is_dir() and any(shards_dir.glob("*.seg.npz"))
         assert registry._retired == []
 
 

@@ -5,8 +5,8 @@ shards run concurrently with writers (other scan processes, the serving
 registry's hot reload).  A direct ``open(..., "w")`` / ``write_text`` /
 ``np.savez`` into those directories can expose a torn file; the
 repo-wide idiom is *sibling temp file + ``os.replace``* (see
-``atomic_write_json`` in ``engine/cache.py`` and
-``FeatureStore._write_shard``).
+``atomic_write_json`` and ``SegmentStore._write_file`` in
+``engine/cache.py``).
 
 The rule checks every function in the configured modules: any write
 operation (``write_text``/``write_bytes``, the ``open`` builtin with a
