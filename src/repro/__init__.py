@@ -38,14 +38,14 @@ Subpackages
 ``repro.engine``
     Scan engine: artifact persistence (train once, scan many times),
     batched content-cached scanning, and the ``python -m repro`` CLI
-    with ``train`` / ``calibrate`` / ``scan`` / ``report`` / ``serve`` /
-    ``bench`` / ``bench-serve``.
+    with ``train`` / ``calibrate`` / ``scan`` / ``report`` /
+    ``cache-info`` / ``cache-gc`` / ``serve``.
 ``repro.serve``
     Online scan service: long-lived micro-batching HTTP server with a
-    hot model registry (``python -m repro serve``), client, and load
-    benchmark.
+    hot model registry (``python -m repro serve``) and client.
 ``repro.perf``
-    Micro-benchmark timing harness behind the committed ``BENCH_*.json``.
+    Micro-benchmark timing harness behind the committed
+    ``BENCH_nn.json`` / ``BENCH_conformal.json``.
 """
 
 from .core import (

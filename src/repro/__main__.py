@@ -1,7 +1,7 @@
 """Module entry point: ``python -m repro`` runs the scan-engine CLI.
 
 Besides the one-shot subcommands (``train`` / ``calibrate`` / ``scan`` /
-``report`` / ``bench`` / ``bench-serve``), this is also how the long-lived
+``report`` / ``cache-info`` / ``cache-gc``), this is also how the long-lived
 scan service starts: ``python -m repro serve --artifact <dir>`` (see
 ``docs/SERVING.md``).
 """

@@ -19,11 +19,10 @@ Subcommands (see ``docs/ENGINE.md`` for a walkthrough):
   segment files into their base shards and remove retired schema
   namespaces;
 * ``serve``     — run the long-lived scan service (micro-batching HTTP
-  server, see ``docs/SERVING.md``) until SIGTERM/SIGINT;
-* ``bench``     — run the end-to-end throughput benchmark and write
-  ``BENCH_engine.json``;
-* ``bench-serve`` — run the serving load benchmark and write
-  ``BENCH_serve.json``.
+  server, see ``docs/SERVING.md``) until SIGTERM/SIGINT.
+
+End-to-end throughput is measured by the repository benchmark,
+``perfbench/run.py`` (see ``perfbench/README.md``), not by a subcommand.
 
 Every subcommand is pure argparse + engine API; the module is import-safe
 and the tests drive :func:`main` in-process.
@@ -71,14 +70,13 @@ from ..serve.rollout import (
 from ..serve.server import DEFAULT_FLUSH_EVERY, DEFAULT_HOST, DEFAULT_PORT, ScanService
 from ..trojan import SuiteConfig, TrojanDataset
 from .artifacts import ArtifactError, load_detector, save_detector
-from .bench import DEFAULT_N_DESIGNS, build_scan_batch, run_engine_benchmark
 from .cache import CacheLockTimeout, describe_result_tier
 from .feature_store import (
     default_feature_store_dir,
     describe_feature_tier,
     gc_feature_tier,
 )
-from .scan import HDL_SUFFIXES, ScanEngine, ScanReport, collect_sources
+from .scan import HDL_SUFFIXES, ScanEngine, ScanReport, build_scan_batch, collect_sources
 from .scheduler import DEFAULT_SHARD_SIZE, ScanScheduler
 from .training import TRAINABLE_STRATEGIES, recalibrate_detector, train_detector
 
@@ -253,8 +251,36 @@ def _feature_store_dir(args: argparse.Namespace) -> Optional[Path]:
     return default_feature_store_dir(args.cache_dir) if enabled else None
 
 
+def _check_scan_numbers(args: argparse.Namespace) -> bool:
+    """Validate ``scan``'s numeric flags, printing the usage error if one is bad.
+
+    Runs before any corpus is collected or generated, so a bad value costs
+    nothing and exits 2 naming the flag.
+    """
+    problems = (
+        (
+            args.confidence is not None and not 0.0 < args.confidence < 1.0,
+            "--confidence must be in (0, 1)",
+        ),
+        (args.jobs < 1, "--jobs must be at least 1"),
+        (args.shard_size < 1, "--shard-size must be at least 1"),
+        (args.workers is not None and args.workers < 1, "--workers must be at least 1"),
+        (
+            args.generate != 0 and args.generate < 2,
+            "--generate must be at least 2 (one design of each class)",
+        ),
+    )
+    for bad, message in problems:
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return False
+    return True
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     if not _check_backend(args.backend):
+        return EXIT_USAGE
+    if not _check_scan_numbers(args):
         return EXIT_USAGE
     if not _apply_failpoints(args):
         return EXIT_USAGE
@@ -631,55 +657,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    suite = run_engine_benchmark(
-        args.output,
-        n_designs=args.designs,
-        workers=args.workers,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        shard_size=args.shard_size,
-    )
-    print(f"wrote {args.output}")
-    for name, factor in sorted(suite.speedups.items()):
-        if name.endswith("_vs_cold"):
-            baseline = "vs cold batched scan"
-        elif name.endswith("_vs_numpy_warm"):
-            baseline = "vs warm-feature numpy scan"
-        else:
-            baseline = "vs sequential per-design scans"
-        print(f"  {name}: {factor:.1f}x {baseline}")
-    return EXIT_OK
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from ..serve.bench import run_serve_benchmark
-
-    try:
-        suite = run_serve_benchmark(
-            args.output,
-            n_requests=args.requests,
-            clients=args.clients,
-            repeats=args.repeats,
-            batch_window_ms=args.batch_window_ms,
-            max_batch=args.max_batch,
-            workers=args.workers,
-            smoke=args.smoke,
-        )
-    except RuntimeError as exc:
-        # A failed load-generation request (the bench raises the first
-        # client failure) is a runtime failure, not a traceback.
-        return _fail(str(exc))
-    print(f"wrote {args.output}")
-    for name, result in sorted(suite.results.items()):
-        rps = result.meta.get("requests_per_sec", 0.0)
-        p99 = result.meta.get("latency", {}).get("p99_ms", 0.0)
-        print(f"  {name}: {rps:.0f} req/s (p99 {p99:.1f}ms)")
-    for name, factor in sorted(suite.speedups.items()):
-        print(f"  speedup {name}: {factor:.2f}x")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -994,73 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_option(serve)
     _add_failpoints_option(serve)
     serve.set_defaults(func=_cmd_serve)
-
-    bench = sub.add_parser("bench", help="end-to-end scan throughput benchmark")
-    bench.add_argument("--output", default="BENCH_engine.json", help="benchmark JSON path")
-    bench.add_argument(
-        "--designs", type=int, default=DEFAULT_N_DESIGNS, help="scan batch size"
-    )
-    bench.add_argument("--workers", type=int, default=None, help="extraction processes")
-    bench.add_argument("--repeats", type=int, default=3, help="timing repeats")
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scheduler workers for the parallel-scan measurement "
-        "(default: min(4, cpu_count))",
-    )
-    bench.add_argument(
-        "--shard-size",
-        type=int,
-        default=DEFAULT_SHARD_SIZE,
-        metavar="K",
-        help="designs per scheduler shard for the parallel-scan measurement",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
-    bench_serve = sub.add_parser(
-        "bench-serve", help="scan-service load benchmark (BENCH_serve.json)"
-    )
-    bench_serve.add_argument(
-        "--output", default="BENCH_serve.json", help="benchmark JSON path"
-    )
-    bench_serve.add_argument(
-        "--requests", type=int, default=240, help="scan requests per timed run"
-    )
-    bench_serve.add_argument(
-        "--clients", type=int, default=32, help="concurrent client threads"
-    )
-    bench_serve.add_argument("--repeats", type=int, default=3, help="timing repeats")
-    bench_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="feature-extraction processes per batch scan (record the "
-        "multi-core serving variant on machines that have the cores; "
-        "meta.cpu_count in the output says which machine produced it)",
-    )
-    bench_serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="micro-batch window for the batched measurement",
-    )
-    bench_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        metavar="N",
-        help="micro-batch design cap for the batched measurement",
-    )
-    bench_serve.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fast run for CI (few requests, one repeat)",
-    )
-    bench_serve.set_defaults(func=_cmd_bench_serve)
 
     return parser
 

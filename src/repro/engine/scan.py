@@ -38,6 +38,7 @@ from ..features.pipeline import MultimodalFeatures, extract_design_modalities
 from ..nn.backend import DEFAULT_BACKEND, PROFILER, get_backend
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Tracer, trace_span
+from ..trojan import SuiteConfig, TrojanDataset
 from .cache import CacheLockTimeout, ScanCache, cache_namespace
 from .feature_store import FeatureStore
 
@@ -128,6 +129,25 @@ def collect_sources(inputs: Iterable[Union[str, Path]]) -> List[ScanSource]:
 def sources_from_pairs(pairs: Iterable[Tuple[str, str]]) -> List[ScanSource]:
     """Build scan sources from in-memory ``(name, verilog_text)`` pairs."""
     return [ScanSource(name=name, source=source) for name, source in pairs]
+
+
+def build_scan_batch(n_designs: int, seed: int = 23) -> List[ScanSource]:
+    """Generate a deterministic corpus of exactly ``n_designs`` designs.
+
+    Two thirds are trojan-free and the rest infected (the ``scan
+    --generate`` demo batch).  The suite needs one design of each class,
+    so ``n_designs`` below 2 raises ``ValueError``.
+    """
+    n_free = (2 * n_designs) // 3
+    suite = TrojanDataset.generate(
+        SuiteConfig(
+            n_trojan_free=n_free, n_trojan_infected=n_designs - n_free, seed=seed
+        )
+    )
+    return [
+        ScanSource(name=benchmark.name, source=benchmark.source)
+        for benchmark in suite.benchmarks
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ A *failpoint* is a named guard at an interesting failure boundary::
         ...
 
 When nothing is activated the guard is one dict lookup and a ``None``
-compare — cheap enough for hot paths (the serve benchmarks are recorded
+compare — cheap enough for hot paths (the repository benchmark runs
 with the guards compiled in).  Activation happens through the
 ``REPRO_FAILPOINTS`` environment variable (read at import, so spawned
 worker processes inherit the configuration) or :func:`configure` (what

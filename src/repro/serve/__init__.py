@@ -25,8 +25,7 @@ is stdlib-only (``selectors`` + ``threading``) and built from six pieces:
   ``GET /metrics``, ``POST /reload``, ``POST /promote``) with graceful
   drain on shutdown;
 * :mod:`repro.serve.client` — :class:`ScanServiceClient`: a thin
-  keep-alive client used by tests, tools and the load benchmark
-  (:mod:`repro.serve.bench`, which writes ``BENCH_serve.json``).
+  keep-alive client used by tests and tools.
 
 Start one with ``python -m repro serve --artifact NAME=DIR ...``; see
 ``docs/SERVING.md`` for the API reference and semantics.

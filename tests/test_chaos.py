@@ -30,7 +30,7 @@ from repro.engine.artifacts import (
     load_quantized_state,
     prepare_quantized_state,
 )
-from repro.engine.bench import build_scan_batch
+from repro.engine.scan import build_scan_batch
 from repro.obs.metrics import REGISTRY
 from repro.serve.client import ScanServiceClient, ScanServiceError
 from repro.serve.server import ScanService

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.engine.cli import main
+from repro.engine.scan import build_scan_batch
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,6 @@ class TestCliWorkflow:
         assert "designs scanned : 5" in output
 
     def test_scan_files_uses_cache(self, artifact, tmp_path, capsys):
-        from repro.engine.bench import build_scan_batch
-
         for source in build_scan_batch(3, seed=77):
             (tmp_path / f"{source.name}.v").write_text(source.source)
         args = [
@@ -175,6 +174,34 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--resume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--confidence", ["--confidence", "1.5"]),
+            ("--shard-size", ["--jobs", "2", "--shard-size", "0"]),
+            ("--jobs", ["--jobs", "-1"]),
+            ("--workers", ["--workers", "-2"]),
+            ("--generate", ["--generate", "-3"]),
+            ("--generate", ["--generate", "1"]),
+        ],
+    )
+    def test_bad_scan_number_is_usage_error(self, artifact, capsys, flag, extra):
+        args = ["scan", "--artifact", str(artifact), "--no-cache"]
+        if "--generate" not in extra:
+            args += ["--generate", "4"]
+        code = main(args + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {flag}" in captured.err
+        assert "generated a demo batch" not in captured.out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 48])
+def test_build_scan_batch_has_exactly_n_designs(n):
+    batch = build_scan_batch(n, seed=5)
+    assert len(batch) == n
+    assert build_scan_batch(n, seed=5) == batch
 
 
 class TestParallelScanCli:

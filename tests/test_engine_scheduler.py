@@ -18,8 +18,7 @@ from repro.engine import (
     save_detector,
     train_detector,
 )
-from repro.engine.bench import build_scan_batch
-from repro.engine.scan import ScanSource
+from repro.engine.scan import ScanSource, build_scan_batch
 from repro.engine import scheduler as scheduler_module
 
 

@@ -29,7 +29,7 @@ from repro.engine import (
     save_detector,
     train_detector,
 )
-from repro.engine.bench import build_scan_batch
+from repro.engine.scan import build_scan_batch
 from repro.features import extract_modalities
 from repro.serve.client import ScanServiceClient, ScanServiceError
 from repro.serve.rollout import (

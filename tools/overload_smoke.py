@@ -43,8 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.serve.bench import build_request_corpus  # noqa: E402
 from repro.serve.client import ScanServiceClient  # noqa: E402
+from serve_smoke import build_request_corpus  # noqa: E402  (sibling script)
 
 
 def _free_port() -> int:
